@@ -24,6 +24,7 @@ from repro.feedback import (
 )
 from repro.mbt.scheduler import Scheduler
 from repro.obs import FlightRecorder, MetricsRegistry, Telemetry
+from repro.obs.flow import FlowTracer
 
 
 class Stage(ActiveComponent):
@@ -40,13 +41,16 @@ def buffered_pipeline(items=20, capacity=4):
     )
 
 
-def coroutine_pipeline(items=10):
+def coroutine_pipeline(items=10, mode="push"):
     # Fixed names: auto-numbered names draw from process-global counters,
     # and the inertness test compares traces across two builds.
-    return pipeline(
-        IterSource(range(items), name="src"), GreedyPump(name="pump"),
-        Stage(name="stage"), CallbackSink(lambda item: None, name="sink"),
-    )
+    source = IterSource(range(items), name="src")
+    pump = GreedyPump(name="pump")
+    stage = Stage(name="stage")
+    sink = CallbackSink(lambda item: None, name="sink")
+    if mode == "push":
+        return pipeline(source, pump, stage, sink)
+    return pipeline(source, stage, pump, sink)
 
 
 def run_with_telemetry(pipe, **kwargs):
@@ -70,12 +74,24 @@ class TestSpans:
         # Two pumps, each moved 20 items.
         assert sorted(h.count for h in stages) == [20, 20]
 
-    def test_coroutine_roundtrip_histogram(self):
-        _engine, telemetry = run_with_telemetry(coroutine_pipeline(items=10))
+    @pytest.mark.parametrize(
+        "mode, batch_max, crossings",
+        [("push", 1, 11), ("push", 8, 11), ("pull", 1, 11), ("pull", 8, 10)],
+    )
+    def test_coroutine_roundtrip_histogram(self, mode, batch_max, crossings):
+        engine = Engine(coroutine_pipeline(items=10, mode=mode),
+                        batch_max=batch_max)
+        telemetry = Telemetry().attach(engine)
+        tracer = FlowTracer(sample_every=1).attach(engine)
+        engine.start()
+        engine.run()
         hists = telemetry.registry.family("repro_coroutine_roundtrip_seconds")
         assert len(hists) == 1
-        # One crossing per item plus the EOS hand-off.
-        assert hists[0].count >= 10
+        # Batch crossings count the items they carry.  Every mode pays one
+        # crossing per item plus the EOS hand-off, except a batched pull,
+        # whose last run carries the EOS along with the final items.
+        assert hists[0].count == crossings
+        assert len(tracer.delivered()) == 10
 
     def test_waits_measure_virtual_time(self):
         # Clocked consumer drains a pre-filled buffer: wait > 0.
