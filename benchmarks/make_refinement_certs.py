@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 
 from repro.check import Projection, check_refinement
-from repro.lang import engine_builder
+from repro.lang.builder import engine_builder
 from repro.media import arrays
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -18,7 +18,7 @@ from repro import (
     PullDefragmenter,
     allocate,
     pipeline,
-    run_pipeline,
+    api,
 )
 
 STYLES = {
@@ -42,7 +42,7 @@ def run_one(style_name, style_cls, mode):
         "direct call" if stage in plan.sections[0].direct_members
         else "coroutine"
     )
-    engine = run_pipeline(pipe)
+    engine = api.Pipeline.from_pipeline(pipe).run().engine
     return {
         "style": style_name,
         "mode": mode,

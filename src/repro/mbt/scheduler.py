@@ -28,9 +28,9 @@ heap top) and pushes a fresh one.  ``_pick_ready`` and
 ``_exists_more_urgent_ready`` are then heap peeks — O(1) amortised, O(log
 n) worst case — and, because the entry key embeds the same
 ``(sort key, last_ran, index)`` tuple the linear scan used, the pick order
-is *bit-for-bit identical* to the reference linear scan
-(:meth:`_pick_ready_linear`, kept for the property-based equivalence
-tests).
+is *bit-for-bit identical* to the reference linear scan (kept as the
+oracle of the property-based equivalence tests in
+``tests/mbt/test_scheduler_invariants.py``).
 
 Weighted-fair multi-tenancy
 ---------------------------
@@ -815,48 +815,6 @@ class Scheduler:
                 current._heap_entry = None
                 continue
             return True
-        return False
-
-    # -- reference implementations (equivalence oracle for tests) ----------
-
-    def _pick_ready_linear(self) -> MThread | None:
-        """The original O(n) scan; must pick exactly what the heap picks."""
-        if self.choice_hook is not None:
-            return self._pick_ready_hooked()
-        best: MThread | None = None
-        best_key: tuple | None = None
-        for thread in self.threads.values():
-            if not thread.is_ready():
-                continue
-            sort_key = thread.effective_sort_key()
-            tenant = thread._tenant
-            key = (
-                sort_key[0],
-                tenant.vtime if tenant is not None else 0.0,
-                sort_key[1],
-                thread._last_ran,
-                thread._index,
-            )
-            if best_key is None or key < best_key:
-                best, best_key = thread, key
-        return best
-
-    def _fair_key_linear(self, thread: MThread) -> tuple[float, float, float]:
-        sort_key = thread.effective_sort_key()
-        tenant = thread._tenant
-        return (
-            sort_key[0],
-            tenant.vtime if tenant is not None else 0.0,
-            sort_key[1],
-        )
-
-    def _exists_more_urgent_ready_linear(self, current: MThread) -> bool:
-        current_key = self._fair_key_linear(current)
-        for thread in self.threads.values():
-            if thread is current or not thread.is_ready():
-                continue
-            if self._fair_key_linear(thread) < current_key:
-                return True
         return False
 
     # ------------------------------------------------------------ dispatch

@@ -34,7 +34,7 @@ from repro.mbt.constraints import Constraint
 from repro.mbt.coroutine import Done, Suspendable
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
-from repro.mbt.syscalls import CONTINUE, Send, Work
+from repro.mbt.syscalls import CONTINUE, Reply, Send, Work
 from repro.mbt.timers import PeriodicTimer
 from repro.runtime.batching import BatchPolicy
 from repro.runtime.bridge import PendingEmits, ReplayIntake, build_suspendable
@@ -46,9 +46,6 @@ from repro.runtime.section import (
     compile_pull_many,
     compile_push,
     compile_push_many,
-    maybe_work,
-    pull_from,
-    push_to,
 )
 from repro.runtime.stats import PipelineStats
 
@@ -510,8 +507,6 @@ class CoroutineDriver:
         self.susp: Suspendable | None = None
         self.started = False
         self.finished = False
-        #: Pull-mode state: the last request the body is suspended at.
-        self._at_push = False
         self._drain = component.drain_cost
         #: Compiled per-port continuation walkers (push mode uses push
         #: walkers, pull mode uses pull walkers); bound by
@@ -588,14 +583,11 @@ class CoroutineDriver:
                 self.thread_name, event, target_name
             )
             return CONTINUE
-        if kind == "ip-push" and self.mode is Mode.PUSH:
-            return self._handle_push(message)
-        if kind == "ip-pull" and self.mode is Mode.PULL:
+        if self.mode is Mode.PUSH:
+            if kind == "ip-push" or kind == "ip-push-batch":
+                return self._handle_push(message)
+        elif kind == "ip-pull" or kind == "ip-pull-batch":
             return self._handle_pull(message)
-        if kind == "ip-push-batch" and self.mode is Mode.PUSH:
-            return self._handle_push_batch(message)
-        if kind == "ip-pull-batch" and self.mode is Mode.PULL:
-            return self._handle_pull_batch(message)
         raise RuntimeFault(
             f"coroutine {self.component.name!r} ({self.mode} mode) got "
             f"unexpected message {message.kind!r}"
@@ -604,60 +596,38 @@ class CoroutineDriver:
     # -- push mode -------------------------------------------------------------
 
     def _handle_push(self, message: Message):
-        from repro.mbt.syscalls import Reply
-
+        """One push crossing: ``ip-push`` carries one item (possibly EOS),
+        ``ip-push-batch`` a pure-data run (EOS always arrives through the
+        per-item message).  Each item gets one resume/drive round."""
+        if not self.finished and not self.started:
+            yield from self._drive_to_pull(self._start())
         if self.finished:
             yield Reply(message, "ok")
             return
-        if not self.started:
-            request = self._start()
-            request = yield from self._drive_to_pull(request)
-            if self.finished:
-                yield Reply(message, "ok")
-                return
 
-        item = message.payload
-        if item is EOS:
+        if message.kind == "ip-push-batch":
+            items = message.payload
+        elif message.payload is EOS:
             request = self._resume_eos()
             while not self.finished:
-                request = yield from self._drive_to_pull(request)
+                yield from self._drive_to_pull(request)
                 if self.finished:
                     break
                 # The body asked for more input after EOS: it stays ended.
                 request = self._resume_eos()
             yield Reply(message, "ok")
             return
-
-        if self.component.style is Style.ACTIVE:
-            # Count on actual delivery, like pull mode does — the body's
-            # *request* for input (its PullOp) may only ever be answered
-            # by EOS, which is not an item.
-            self.component.stats["items_in"] += 1
-        request = self._resume(item)
-        yield from self._drive_to_pull(request)
-        yield Reply(message, "ok")
-
-    def _handle_push_batch(self, message: Message):
-        """One ip-push-batch crossing: feed every item of the run to the
-        body, one resume/drive round per item (the payload is pure data —
-        EOS always arrives through the per-item ``ip-push`` path)."""
-        from repro.mbt.syscalls import Reply
-
-        if self.finished:
-            yield Reply(message, "ok")
-            return
-        if not self.started:
-            request = self._start()
-            request = yield from self._drive_to_pull(request)
-            if self.finished:
-                yield Reply(message, "ok")
-                return
+        else:
+            items = (message.payload,)
 
         active = self.component.style is Style.ACTIVE
-        for item in message.payload:
+        for item in items:
             if self.finished:
                 break
             if active:
+                # Count on actual delivery, like pull mode does — the
+                # body's *request* for input (its PullOp) may only ever be
+                # answered by EOS, which is not an item.
                 self.component.stats["items_in"] += 1
             request = self._resume(item)
             yield from self._drive_to_pull(request)
@@ -700,21 +670,12 @@ class CoroutineDriver:
     # -- pull mode --------------------------------------------------------------
 
     def _handle_pull(self, message: Message):
-        from repro.mbt.syscalls import Reply
-
-        if self.finished:
-            yield Reply(message, EOS)
-            return
-        value = yield from self._next_output()
-        yield Reply(message, value)
-
-    def _handle_pull_batch(self, message: Message):
-        """One ip-pull-batch crossing: collect up to n outputs before
-        replying, with the same run conventions as the batch walkers
-        (data first, at most one trailing EOS, [] means no data now)."""
-        from repro.mbt.syscalls import Reply
-
-        n = message.payload
+        """One pull crossing: collect up to n outputs before replying, with
+        the batch walkers' run conventions (data first, at most one
+        trailing EOS, [] means no data now).  ``ip-pull`` is the run of
+        n=1, replied as its only item, or NIL when the run is empty."""
+        batch = message.kind == "ip-pull-batch"
+        n = message.payload if batch else 1
         run = []
         while len(run) < n:
             if self.finished:
@@ -726,20 +687,19 @@ class CoroutineDriver:
             run.append(value)
             if value is EOS:
                 break
-        yield Reply(message, run)
+        if batch:
+            yield Reply(message, run)
+        else:
+            yield Reply(message, run[0] if run else NIL)
 
     def _next_output(self):
-        """Advance the body to its next output item; returns the item, or
-        EOS when the body finishes (setting ``finished``).  Exactly the
-        serving loop ``_handle_pull`` always ran, factored out so the
-        batch handler can call it repeatedly per crossing."""
-        if not self.started:
+        """Advance the body to its next output item; returns the item, NIL
+        (no input now), or EOS when the body finishes (setting
+        ``finished``)."""
+        if self.started:
+            request = self._resume(None)
+        else:
             request = self._start()
-        elif self._at_push:
-            self._at_push = False
-            request = self._resume(None)
-        else:  # pragma: no cover - defensive
-            request = self._resume(None)
 
         pull_walkers = self._pull_walkers
         while True:
@@ -750,7 +710,6 @@ class CoroutineDriver:
                 self.finished = True
                 return EOS
             if isinstance(request, PushOp):
-                self._at_push = True
                 if self.component.style is Style.ACTIVE:
                     self.component.stats["items_out"] += 1
                 return request.item
@@ -1280,25 +1239,3 @@ class Engine:
             self._telemetry.decorate(snapshot)
         return snapshot
 
-
-def run_pipeline(
-    pipe: Pipeline,
-    until: float | None = None,
-    backend: str = "generator",
-    max_steps: int | None = None,
-    **engine_kwargs: Any,
-) -> Engine:
-    """Convenience: build an engine, start the pipeline, run it.
-
-    With ``until`` the pipeline runs to that virtual time and is stopped;
-    without it, it runs to completion (finite sources).
-    """
-    engine = Engine(pipe, backend=backend, **engine_kwargs)
-    engine.start()
-    if until is not None:
-        engine.run(until=until, max_steps=max_steps)
-        engine.stop()
-        engine.run(max_steps=max_steps)
-    else:
-        engine.run(max_steps=max_steps)
-    return engine

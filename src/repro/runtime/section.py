@@ -14,20 +14,15 @@ mid-chain, and each stays responsive to control events:
 * **simulated CPU work** — ``component.charge()`` is drained into ``Work``
   syscalls, making stage costs preemptible.
 
-Two implementations of chain walking coexist:
-
-* the **generic walkers** :func:`pull_from` / :func:`push_to`, which
-  re-derive everything (isinstance checks, gate/lock/replay lookups,
-  style dispatch) on every item — kept as the reference implementation
-  and for ad-hoc callers;
-* the **compiled walkers** built by :func:`compile_pull` /
-  :func:`compile_push` at plan-realization time (see
-  ``Engine._compile_walkers``), which resolve all of that *once per
-  node* and return bound generator closures, so steady-state item
-  movement does one dict-free call per hop.  They must mirror the
-  generic walkers' behaviour exactly; any recompilation trigger (today:
-  :func:`repro.runtime.restructure.replace_component`) re-runs the
-  compilation pass.
+Chain walking is compiled: :func:`compile_pull` / :func:`compile_push`
+(and their batch twins :func:`compile_pull_many` / :func:`compile_push_many`)
+run at plan-realization time (see ``Engine._compile_walkers``), resolve
+every isinstance check, gate/lock/replay lookup and style dispatch *once
+per node*, and return bound generator closures, so steady-state item
+movement does one dict-free call per hop.  Any structural change (today:
+:func:`repro.runtime.restructure.replace_component`) re-runs the
+compilation pass.  Every coroutine crossing, per item or per run, is built
+by :func:`_compile_crossing`.
 """
 
 from __future__ import annotations
@@ -37,9 +32,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Union
 
 from repro.core.component import Component
-from repro.core.events import EOS, is_eos
+from repro.core.events import EOS
 from repro.core.glue import BoundaryRef, FlowNode
-from repro.core.items import NIL, is_nil
+from repro.core.items import NIL
 from repro.core.styles import EndOfStream, Style
 from repro.components.buffers import EMPTY, FULL, OK
 from repro.errors import RuntimeFault
@@ -60,18 +55,6 @@ class ThreadCtx:
         self.engine = engine
         self.thread_name = thread_name
 
-    # -- constraints ------------------------------------------------------
-
-    def data_constraint(self):
-        """Constraint propagated onto data messages this thread sends: the
-        constraint of the message currently being processed (section 4:
-        "Messages between coroutines inherit the constraint from the
-        message received by the sending component")."""
-        thread = self.engine.scheduler.threads.get(self.thread_name)
-        if thread is not None and thread.processing is not None:
-            return thread.processing.constraint
-        return None
-
     # -- receiving with event transparency ---------------------------------
 
     def receive_data(self, kinds: set[str]):
@@ -86,62 +69,9 @@ class ThreadCtx:
                 continue
             return message
 
-    def receive_reply(self, request: Message):
-        """Wait for the reply to ``request``, dispatching control events
-        that arrive in the meantime (the paper's mechanism for keeping a
-        blocked push/pull responsive)."""
-        while True:
-            message = yield Receive(
-                match=lambda m: m.reply_to == request.msg_id
-                or m.kind == "event"
-            )
-            if message.kind == "event":
-                self.dispatch_event_message(message)
-                continue
-            return message
-
     def dispatch_event_message(self, message: Message) -> None:
         event, target_name = message.payload
         self.engine.dispatch_event_local(self.thread_name, event, target_name)
-
-    # -- coroutine boundaries ----------------------------------------------
-
-    def coroutine_push(self, component, item: Any):
-        """Synchronous push into a coroutine running in another thread."""
-        target = self.engine.thread_of(component)
-        request = Message(
-            kind="ip-push",
-            payload=item,
-            sender=self.thread_name,
-            target=target,
-            constraint=self.data_constraint(),
-            needs_reply=True,
-        )
-        self.engine.stats_counters["coroutine_switches"] += 1
-        yield Send(request)
-        yield from self.receive_reply(request)
-
-    def coroutine_pull(self, component):
-        """Synchronous pull from a coroutine running in another thread."""
-        target = self.engine.thread_of(component)
-        request = Message(
-            kind="ip-pull",
-            sender=self.thread_name,
-            target=target,
-            constraint=self.data_constraint(),
-            needs_reply=True,
-        )
-        self.engine.stats_counters["coroutine_switches"] += 1
-        yield Send(request)
-        reply = yield from self.receive_reply(request)
-        return reply.payload
-
-
-def maybe_work(component):
-    """Drain a component's charged CPU cost into a Work syscall."""
-    cost = component.drain_cost()
-    if cost > 0.0:
-        yield Work(cost)
 
 
 # ---------------------------------------------------------------------------
@@ -354,145 +284,10 @@ class SegmentLock:
 
 
 # ---------------------------------------------------------------------------
-# Chain walking
-# ---------------------------------------------------------------------------
-
-
-def pull_from(ctx: ThreadCtx, target: FlowTarget):
-    """Obtain one item from the pull-side continuation ``target``.
-
-    Returns the item, NIL (no data under a nil policy) or EOS.
-    """
-    engine = ctx.engine
-    if isinstance(target, BoundaryRef):
-        component = target.component
-        gate = engine.gate_for(component)
-        if gate is not None:
-            return (yield from gate.get(ctx, target.port.name))
-        # Passive source.
-        item = component.serve_pull(target.port.name)
-        yield from maybe_work(component)
-        return item
-
-    component = target.component
-    lock = engine.lock_for(component)
-    if lock is not None and not lock.held_by(ctx):
-        yield from lock.acquire(ctx)
-        try:
-            return (yield from _pull_from_node(ctx, target))
-        finally:
-            yield from lock.release(ctx)
-    return (yield from _pull_from_node(ctx, target))
-
-
-def _pull_from_node(ctx: ThreadCtx, node: FlowNode):
-    engine = ctx.engine
-    component = node.component
-
-    if engine.is_coroutine(component):
-        return (yield from ctx.coroutine_pull(component))
-
-    if component.style is Style.FUNCTION:
-        item = yield from pull_from(ctx, node.branches["in"])
-        if is_eos(item) or is_nil(item):
-            return item
-        component.stats["items_in"] += 1
-        result = component.convert(item)
-        component.stats["items_out"] += 1
-        yield from maybe_work(component)
-        return result
-
-    # Producer style (possibly multi-input) under deterministic replay.
-    replay = engine.replay_for(component)
-    while True:
-        replay.begin()
-        try:
-            result = component.serve_pull(node.entry_port)
-        except NeedMoreInput as need:
-            yield from maybe_work(component)
-            upstream = yield from pull_from(ctx, node.branches[need.port])
-            if is_nil(upstream):
-                return NIL  # cannot complete now; prefetch is preserved
-            replay.feed(need.port, upstream)
-            continue
-        except EndOfStream:
-            yield from maybe_work(component)
-            return EOS
-        replay.commit()
-        yield from maybe_work(component)
-        return result
-
-
-def push_to(ctx: ThreadCtx, target: FlowTarget, item: Any):
-    """Deliver one item into the push-side continuation ``target``."""
-    engine = ctx.engine
-    if isinstance(target, BoundaryRef):
-        component = target.component
-        gate = engine.gate_for(component)
-        if gate is not None:
-            yield from gate.put(ctx, item, target.port.name)
-            return
-        # Passive sink.
-        if is_eos(item):
-            engine.note_sink_eos(component)
-            on_eos = getattr(component, "on_eos", None)
-            if on_eos is not None:
-                on_eos()
-            return
-        component.receive_push(item, target.port.name)
-        yield from maybe_work(component)
-        return
-
-    component = target.component
-    lock = engine.lock_for(component)
-    if lock is not None and not lock.held_by(ctx):
-        yield from lock.acquire(ctx)
-        try:
-            yield from _push_to_node(ctx, target, item)
-        finally:
-            yield from lock.release(ctx)
-        return
-    yield from _push_to_node(ctx, target, item)
-
-
-def _push_to_node(ctx: ThreadCtx, node: FlowNode, item: Any):
-    engine = ctx.engine
-    component = node.component
-
-    if engine.is_coroutine(component):
-        yield from ctx.coroutine_push(component, item)
-        return
-
-    if is_eos(item):
-        # EOS bypasses user code and fans out to every downstream branch.
-        for child in node.branches.values():
-            yield from push_to(ctx, child, EOS)
-        return
-
-    if component.style is Style.FUNCTION:
-        component.stats["items_in"] += 1
-        result = component.convert(item)
-        component.stats["items_out"] += 1
-        yield from maybe_work(component)
-        yield from push_to(ctx, node.branches["out"], result)
-        return
-
-    # Consumer style (including push tees): emissions are collected and
-    # delivered after push() returns, possibly suspending between them.
-    pending = engine.pending_for(component)
-    component.receive_push(item, node.entry_port)
-    yield from maybe_work(component)
-    while pending.queue:
-        port, out = pending.queue.popleft()
-        yield from push_to(ctx, node.branches[port], out)
-
-
-# ---------------------------------------------------------------------------
 # Compiled walkers
 # ---------------------------------------------------------------------------
 #
-# Everything below is the ahead-of-time twin of pull_from/push_to above:
-# one bound generator closure per (thread, flow node), with the gate, lock,
+# One bound generator closure per (thread, flow node), with the gate, lock,
 # replay intake, pending-emit queue, coroutine target thread and per-port
 # child walkers all resolved at compile time.  The run-time body of a hop
 # is then just the user code plus the unavoidable suspension points.
@@ -554,15 +349,38 @@ def _bind_drain(component):
     )
 
 
-def _compile_coro_pull(ctx: ThreadCtx, component):
-    """Bound ip-pull round trip to a coroutine component's thread.
+def _item_count(item) -> int:
+    """Data items in a per-item crossing's payload (0 for EOS/NIL)."""
+    return 0 if item is EOS or item is NIL else 1
 
-    The reply wait is ``ThreadCtx.receive_reply`` unrolled in place (one
-    generator frame fewer per crossing), with the same event transparency.
 
-    When telemetry is attached at compile time, a *timed* variant is bound
-    instead, recording the request-to-reply round trip; the untimed
-    closure never branches on telemetry, so the cost when off is zero.
+def _run_data_count(run) -> int:
+    """Data items in a run (excluding a trailing EOS; columnar runs are
+    pure data by convention)."""
+    count = len(run)
+    if count and not getattr(run, "columnar", False) and run[-1] is EOS:
+        count -= 1
+    return count
+
+
+def _compile_crossing(ctx: ThreadCtx, component, kind: str, count):
+    """Bound round trip to a coroutine component's thread.
+
+    ``kind`` is the request message kind (``ip-pull``, ``ip-push``,
+    ``ip-pull-batch`` or ``ip-push-batch``); the walker sends its argument
+    as the payload and returns the reply's payload.  The request inherits
+    the constraint of the message this thread is processing (section 4:
+    "Messages between coroutines inherit the constraint from the message
+    received by the sending component"), and the reply wait dispatches
+    control events that arrive meanwhile.
+
+    ``count`` maps the items that cross (the reply of a pull, the payload
+    of a push) to their number of data items.  Instrumentation is bound at
+    compile time as outer layers, so the bare closure never branches on
+    it: a timed layer when telemetry is attached, recording the round trip
+    weighted by the items inside it (so ``wait_p*`` summaries count items,
+    not runs), and a flow layer when a FlowTracer is attached, moving the
+    items' positional contexts between the two threads.
     """
     engine = ctx.engine
     target = engine.thread_of(component)
@@ -570,12 +388,13 @@ def _compile_coro_pull(ctx: ThreadCtx, component):
     thread = engine.scheduler.threads[sender]
     dispatch_event = ctx.dispatch_event_message
     counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
+    inbound = kind.startswith("ip-pull")
 
-    def coro_pull():
+    def crossing(payload=None):
         message = thread._current_message
         request = Message(
-            kind="ip-pull",
+            kind=kind,
+            payload=payload,
             sender=sender,
             target=target,
             constraint=message.constraint if message is not None else None,
@@ -594,112 +413,54 @@ def _compile_coro_pull(ctx: ThreadCtx, component):
                 continue
             return reply.payload
 
-    base = coro_pull
-    if hist is not None:
-        now = engine._telemetry.now
-
-        def coro_pull_timed():
-            start = now()
-            value = yield from coro_pull()
-            hist.observe(now() - start)
-            return value
-
-        base = coro_pull_timed
-
-    flow = engine._flow_tracer
-    if flow is None:
-        return base
-
-    # The pulled item crossed from the coroutine's thread to ours: its
-    # positional context crosses with it.
-    inner = base
-
-    def coro_pull_flow():
-        value = yield from inner()
-        if value is not EOS and value is not NIL:
-            flow.transfer(target, sender, 1)
-        return value
-
-    return coro_pull_flow
-
-
-def _coro_histogram(engine, component):
-    """The round-trip histogram for a coroutine crossing, or None when
-    telemetry is absent (the common case: plain walkers get bound)."""
+    walker = crossing
     telemetry = engine._telemetry
-    if telemetry is None:
-        return None
-    return telemetry.coroutine_histogram(component)
-
-
-def _compile_coro_push(ctx: ThreadCtx, component):
-    """Bound ip-push round trip to a coroutine component's thread.
-
-    Like :func:`_compile_coro_pull`, binds a timed variant when telemetry
-    is attached at compile time.
-    """
-    engine = ctx.engine
-    target = engine.thread_of(component)
-    sender = ctx.thread_name
-    thread = engine.scheduler.threads[sender]
-    dispatch_event = ctx.dispatch_event_message
-    counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
-
-    def coro_push(item):
-        message = thread._current_message
-        request = Message(
-            kind="ip-push",
-            payload=item,
-            sender=sender,
-            target=target,
-            constraint=message.constraint if message is not None else None,
-            needs_reply=True,
-        )
-        counter[0] += 1
-        yield Send(request)
-        rid = request.msg_id
-        while True:
-            reply = yield Receive(
-                match=lambda m, _rid=rid: m.reply_to == _rid
-                or m.kind == "event"
-            )
-            if reply.kind == "event":
-                dispatch_event(reply)
-                continue
-            return
-
-    base = coro_push
+    hist = (
+        None if telemetry is None else telemetry.coroutine_histogram(component)
+    )
     if hist is not None:
-        now = engine._telemetry.now
+        now = telemetry.now
+        untimed = walker
 
-        def coro_push_timed(item):
+        def timed_crossing(payload=None):
             start = now()
-            yield from coro_push(item)
-            hist.observe(now() - start)
+            reply = yield from untimed(payload)
+            crossed = reply if inbound else payload
+            hist.observe_count(now() - start, count(crossed) or 1)
+            return reply
 
-        base = coro_push_timed
+        walker = timed_crossing
 
     flow = engine._flow_tracer
     if flow is None:
-        return base
+        return walker
+    untraced = walker
 
-    # The context moves before the Send: the coroutine's own walkers pop
-    # it from *its* carried deque while handling the push.
-    inner = base
+    if inbound:
+        # The pulled items crossed from the coroutine's thread to ours:
+        # their positional contexts cross with them.
+        def traced_crossing(payload=None):
+            reply = yield from untraced(payload)
+            k = count(reply)
+            if k:
+                flow.transfer(target, sender, k)
+            return reply
 
-    def coro_push_flow(item):
-        if item is not EOS and item is not NIL:
-            flow.transfer(sender, target, 1)
-        yield from inner(item)
+    else:
+        # The contexts move before the Send: the coroutine's own walkers
+        # pop them from *its* carried deque while handling the push.
+        def traced_crossing(payload=None):
+            k = count(payload)
+            if k:
+                flow.transfer(sender, target, k)
+            return (yield from untraced(payload))
 
-    return coro_push_flow
+    return traced_crossing
 
 
 def compile_pull(ctx: ThreadCtx, target: FlowTarget):
     """Compile ``target`` into a bound pull walker: ``() -> generator``
-    producing one item (or NIL/EOS), semantically identical to
-    ``pull_from(ctx, target)``."""
+    producing one item, NIL (no data under a nil policy) or EOS."""
     engine = ctx.engine
     if isinstance(target, BoundaryRef):
         component = target.component
@@ -794,7 +555,7 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
     component = node.component
 
     if engine.is_coroutine(component):
-        return _compile_coro_pull(ctx, component)
+        return _compile_crossing(ctx, component, "ip-pull", _item_count)
 
     stock_drain, drain = _bind_drain(component)
 
@@ -862,8 +623,9 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
 
 
 def compile_push(ctx: ThreadCtx, target: FlowTarget):
-    """Compile ``target`` into a bound push walker: ``(item) -> generator``,
-    semantically identical to ``push_to(ctx, target, item)``."""
+    """Compile ``target`` into a bound push walker: ``(item) -> generator``
+    delivering one item (or EOS, which fans out to every downstream
+    branch and bypasses user code)."""
     engine = ctx.engine
     if isinstance(target, BoundaryRef):
         component = target.component
@@ -974,7 +736,7 @@ def _compile_push_node(ctx: ThreadCtx, node: FlowNode):
     component = node.component
 
     if engine.is_coroutine(component):
-        return _compile_coro_push(ctx, component)
+        return _compile_crossing(ctx, component, "ip-push", _item_count)
 
     stock_drain, drain = _bind_drain(component)
     branch_pushes = {
@@ -1350,7 +1112,9 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
     if isinstance(target, FlowNode) and engine.lock_for(target.component) is None:
         component = target.component
         if engine.is_coroutine(component):
-            return _compile_coro_pull_many(ctx, component)
+            return _compile_crossing(
+                ctx, component, "ip-pull-batch", _run_data_count
+            )
         if component.style is Style.FUNCTION:
             inner_many = compile_pull_many(ctx, target.branches["in"])
             convert_many = _convert_many_fn(component)
@@ -1399,141 +1163,6 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
         return run
 
     return generic_pull_many
-
-
-def _run_data_count(run) -> int:
-    """Data items in a run (excluding a trailing EOS; columnar runs are
-    pure data by convention)."""
-    count = len(run)
-    if count and not getattr(run, "columnar", False) and run[-1] is EOS:
-        count -= 1
-    return count
-
-
-def _compile_coro_pull_many(ctx: ThreadCtx, component):
-    """Bound ip-pull-batch round trip: one crossing per run.
-
-    Like the per-item crossing, binds a timed variant when telemetry is
-    attached — weighted by the *items* inside the run (observe_count), so
-    ``wait_p*`` summaries count items, not runs, at batch_max > 1 — and a
-    flow variant when a tracer is attached.
-    """
-    engine = ctx.engine
-    target = engine.thread_of(component)
-    sender = ctx.thread_name
-    thread = engine.scheduler.threads[sender]
-    dispatch_event = ctx.dispatch_event_message
-    counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
-
-    def coro_pull_many(n):
-        message = thread._current_message
-        request = Message(
-            kind="ip-pull-batch",
-            payload=n,
-            sender=sender,
-            target=target,
-            constraint=message.constraint if message is not None else None,
-            needs_reply=True,
-        )
-        counter[0] += 1
-        yield Send(request)
-        rid = request.msg_id
-        while True:
-            reply = yield Receive(
-                match=lambda m, _rid=rid: m.reply_to == _rid
-                or m.kind == "event"
-            )
-            if reply.kind == "event":
-                dispatch_event(reply)
-                continue
-            return reply.payload
-
-    base = coro_pull_many
-    if hist is not None:
-        now = engine._telemetry.now
-
-        def coro_pull_many_timed(n):
-            start = now()
-            run = yield from coro_pull_many(n)
-            hist.observe_count(now() - start, _run_data_count(run) or 1)
-            return run
-
-        base = coro_pull_many_timed
-
-    flow = engine._flow_tracer
-    if flow is None:
-        return base
-    inner = base
-
-    def coro_pull_many_flow(n):
-        run = yield from inner(n)
-        count = _run_data_count(run)
-        if count:
-            flow.transfer(target, sender, count)
-        return run
-
-    return coro_pull_many_flow
-
-
-def _compile_coro_push_many(ctx: ThreadCtx, component):
-    """Bound ip-push-batch round trip: one crossing per run.
-
-    Timed/flow variants mirror :func:`_compile_coro_pull_many`; pushed
-    runs are pure data, so the whole length counts.
-    """
-    engine = ctx.engine
-    target = engine.thread_of(component)
-    sender = ctx.thread_name
-    thread = engine.scheduler.threads[sender]
-    dispatch_event = ctx.dispatch_event_message
-    counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
-
-    def coro_push_many(items):
-        message = thread._current_message
-        request = Message(
-            kind="ip-push-batch",
-            payload=items,
-            sender=sender,
-            target=target,
-            constraint=message.constraint if message is not None else None,
-            needs_reply=True,
-        )
-        counter[0] += 1
-        yield Send(request)
-        rid = request.msg_id
-        while True:
-            reply = yield Receive(
-                match=lambda m, _rid=rid: m.reply_to == _rid
-                or m.kind == "event"
-            )
-            if reply.kind == "event":
-                dispatch_event(reply)
-                continue
-            return
-
-    base = coro_push_many
-    if hist is not None:
-        now = engine._telemetry.now
-
-        def coro_push_many_timed(items):
-            start = now()
-            yield from coro_push_many(items)
-            hist.observe_count(now() - start, len(items) or 1)
-
-        base = coro_push_many_timed
-
-    flow = engine._flow_tracer
-    if flow is None:
-        return base
-    inner = base
-
-    def coro_push_many_flow(items):
-        flow.transfer(sender, target, len(items))
-        yield from inner(items)
-
-    return coro_push_many_flow
 
 
 def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
@@ -1633,7 +1262,7 @@ def _compile_push_node_many(ctx: ThreadCtx, node: FlowNode):
     component = node.component
 
     if engine.is_coroutine(component):
-        return _compile_coro_push_many(ctx, component)
+        return _compile_crossing(ctx, component, "ip-push-batch", len)
 
     if component.style is Style.FUNCTION:
         out_many = compile_push_many(ctx, node.branches["out"])

@@ -16,7 +16,7 @@ from repro.check import (
     replay_certificate,
 )
 from repro.check.explorer import SeededChooser, run_once
-from repro.lang import engine_builder
+from repro.lang.builder import engine_builder
 from repro.media import arrays
 
 MEDIA_SRC = (

@@ -39,7 +39,7 @@ from repro.check.refine import (
 from repro.check.invariants import install_sink_taps
 from repro.components.buffers import OK
 from repro.core.typespec import Typespec
-from repro.lang import engine_builder
+from repro.lang.builder import engine_builder
 from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,

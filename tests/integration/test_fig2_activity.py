@@ -15,7 +15,7 @@ from repro import (
     MapFilter,
     allocate,
     pipeline,
-    run_pipeline,
+    api,
 )
 from repro.core.polarity import Mode, Polarity
 
@@ -69,7 +69,7 @@ def test_pump_thread_interleaving_order():
     pipe = pipeline(
         IterSource(range(3)), up, GreedyPump(), down, CollectSink()
     )
-    run_pipeline(pipe)
+    api.Pipeline.from_pipeline(pipe).run()
     assert trace == [
         ("pull-side", 0), ("push-side", 0),
         ("pull-side", 1), ("push-side", 1),

@@ -15,6 +15,8 @@ from repro.mbt.mailbox import Mailbox
 from repro.mbt.message import Message
 from repro.mbt.constraints import Constraint
 
+from tests.mbt.test_scheduler_invariants import pick_ready_linear
+
 
 def make_message(target="t", kind="data", priority=0):
     return Message(
@@ -106,7 +108,7 @@ class TestReadyHeapCompaction:
             sched.post(make_message(f"t{i}", priority=i % 3))
             threads.append(thread)
         self.churn(sched, threads, 200)
-        assert sched._pick_ready() is sched._pick_ready_linear()
+        assert sched._pick_ready() is pick_ready_linear(sched)
 
     def test_compaction_preserves_live_entries(self):
         sched = Scheduler(clock=VirtualClock())

@@ -1,9 +1,9 @@
 """Model-based invariants of the indexed ready queue.
 
 The scheduler keeps a lazily-invalidated heap of ready threads; the
-original O(n) linear scan survives as ``_pick_ready_linear`` /
-``_exists_more_urgent_ready_linear`` precisely so this test can hold the
-two implementations against each other: under randomized workloads mixing
+original O(n) linear scan survives here as :func:`pick_ready_linear` /
+:func:`exists_more_urgent_ready_linear` precisely so this test can hold
+the two implementations against each other: under randomized workloads mixing
 constrained messages, synchronous calls (priority donations), timed
 receives and preemptible simulated work, every dispatch decision and every
 preemption check must agree with the reference scan.
@@ -18,6 +18,49 @@ from repro.mbt.syscalls import CONTINUE, Call, Receive, Reply, Send, Work
 N_WORKERS = 3
 
 
+def pick_ready_linear(sched):
+    """The original O(n) scan; must pick exactly what the heap picks."""
+    if sched.choice_hook is not None:
+        return sched._pick_ready_hooked()
+    best = None
+    best_key = None
+    for thread in sched.threads.values():
+        if not thread.is_ready():
+            continue
+        sort_key = thread.effective_sort_key()
+        tenant = thread._tenant
+        key = (
+            sort_key[0],
+            tenant.vtime if tenant is not None else 0.0,
+            sort_key[1],
+            thread._last_ran,
+            thread._index,
+        )
+        if best_key is None or key < best_key:
+            best, best_key = thread, key
+    return best
+
+
+def _fair_key_linear(thread):
+    sort_key = thread.effective_sort_key()
+    tenant = thread._tenant
+    return (
+        sort_key[0],
+        tenant.vtime if tenant is not None else 0.0,
+        sort_key[1],
+    )
+
+
+def exists_more_urgent_ready_linear(sched, current):
+    current_key = _fair_key_linear(current)
+    for thread in sched.threads.values():
+        if thread is current or not thread.is_ready():
+            continue
+        if _fair_key_linear(thread) < current_key:
+            return True
+    return False
+
+
 class CheckedScheduler(Scheduler):
     """Asserts heap/linear agreement at every scheduling decision."""
 
@@ -27,7 +70,7 @@ class CheckedScheduler(Scheduler):
         self.preempt_checks = 0
 
     def _run_thread(self, thread):
-        assert self._pick_ready() is self._pick_ready_linear(), (
+        assert self._pick_ready() is pick_ready_linear(self), (
             "indexed ready queue and linear scan disagree on the next thread"
         )
         self.pick_checks += 1
@@ -35,7 +78,7 @@ class CheckedScheduler(Scheduler):
 
     def _preempt_if_needed(self, thread):
         fast = self._exists_more_urgent_ready(thread)
-        slow = self._exists_more_urgent_ready_linear(thread)
+        slow = exists_more_urgent_ready_linear(self, thread)
         assert fast == slow, (
             "indexed ready queue and linear scan disagree on preemption"
         )

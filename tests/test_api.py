@@ -1,7 +1,5 @@
 """The fluent facade: one surface for run / trace / deploy / certify."""
 
-import warnings
-
 import pytest
 
 from repro.api import Pipeline
@@ -93,30 +91,3 @@ class TestDeploymentBridge:
             .deployment(shards=2)
         assert d.batch_max == 8
         assert d.telemetry is True
-
-
-class TestDeprecationShims:
-    def test_run_pipeline_warns_but_works(self):
-        from repro.deploy.worker import build_program
-        from repro.runtime import run_pipeline
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = run_pipeline(build_program(SRC))
-        assert engine.stats.items_in("collect-sink-1") == 24
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        message = str(caught[0].message)
-        assert "repro.api" in message or "Pipeline" in message
-
-    def test_engine_builder_shim_warns(self):
-        from repro.lang import engine_builder
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build = engine_builder(SRC)
-        assert callable(build)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
