@@ -707,11 +707,17 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
     lock = engine.lock_for(target.component)
     if lock is None:
         return node_push
+    return _locked_push(ctx, lock, node_push)
+
+
+def _locked_push(ctx: ThreadCtx, lock: SegmentLock, node_push):
+    """Wrap a one-argument push walker (per item or per run) in ``lock``:
+    one acquire/release per call, with the same uncontended fast path as
+    ``locked_pull`` in :func:`compile_pull`."""
     acquire, release = lock.acquire, lock.release
     thread_name = ctx.thread_name
 
     def locked_push(item):
-        # Same uncontended fast path as locked_pull above.
         holder = lock.holder
         if holder == thread_name:
             yield from node_push(item)
@@ -1232,29 +1238,7 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
     lock = engine.lock_for(target.component)
     if lock is None:
         return node_many
-    acquire, release = lock.acquire, lock.release
-    thread_name = ctx.thread_name
-
-    def locked_push_many(items):
-        # One acquire/release per run; same uncontended fast path as the
-        # per-item locked_push.
-        holder = lock.holder
-        if holder == thread_name:
-            yield from node_many(items)
-            return
-        if holder is None:
-            lock.holder = thread_name
-        else:
-            yield from acquire(ctx)
-        try:
-            yield from node_many(items)
-        finally:
-            if lock._waiters:
-                yield from release(ctx)
-            else:
-                lock.holder = None
-
-    return locked_push_many
+    return _locked_push(ctx, lock, node_many)
 
 
 def _compile_push_node_many(ctx: ThreadCtx, node: FlowNode):
